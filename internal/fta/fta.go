@@ -28,20 +28,51 @@ func Average(readings []float64, f int) (float64, error) {
 	if f < 0 {
 		return 0, fmt.Errorf("fta: negative fault count %d", f)
 	}
-	n := len(readings)
-	if n < 2*f+1 {
-		return 0, fmt.Errorf("%w: n=%d f=%d", ErrInsufficientClocks, n, f)
+	if err := quorum(len(readings), f); err != nil {
+		return 0, err
 	}
-	sorted := make([]float64, n)
+	sorted := make([]float64, len(readings))
 	copy(sorted, readings)
-	sort.Float64s(sorted)
-	kept := sorted[f : n-f]
+	sortFloats(sorted)
+	return trimmedMean(sorted, f), nil
+}
+
+// quorum reports ErrInsufficientClocks unless n >= 2f+1.
+func quorum(n, f int) error {
+	if n < 2*f+1 {
+		return fmt.Errorf("%w: n=%d f=%d", ErrInsufficientClocks, n, f)
+	}
+	return nil
+}
+
+// trimmedMean averages sorted[f : n-f]; the caller has checked the quorum.
+func trimmedMean(sorted []float64, f int) float64 {
+	kept := sorted[f : len(sorted)-f]
 	var sum float64
 	for _, v := range kept {
 		sum += v
 	}
-	return sum / float64(len(kept)), nil
+	return sum / float64(len(kept))
 }
+
+// sortFloats sorts v ascending with NaNs first, the order of sort.Float64s.
+// Up to 12 elements it runs the same insertion sort sort.Float64s runs at
+// that size, so the result is identical element for element (signed zeros
+// and NaN payloads included); larger inputs go to sort.Float64s.
+func sortFloats(v []float64) {
+	if len(v) > 12 {
+		sort.Float64s(v)
+		return
+	}
+	for i := 1; i < len(v); i++ {
+		for j := i; j > 0 && floatLess(v[j], v[j-1]); j-- {
+			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+}
+
+// floatLess is sort.Float64s's order: NaN sorts before every other value.
+func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
 
 // U computes the amortisation factor u(N, f) = (N − 2f) / (N − 3f) of the
 // FTA convergence function. For the paper's configuration N = 4, f = 1 it
@@ -84,36 +115,18 @@ type Reading struct {
 // M booleans the paper keeps in FTSHMEM to expose which grandmaster clocks
 // disagree with the rest. Stale readings are flagged false.
 func ValidityFlags(readings []Reading, threshold float64) []bool {
-	flags := make([]bool, len(readings))
-	for i, r := range readings {
-		if !r.Fresh {
-			continue
-		}
-		others := make([]float64, 0, len(readings)-1)
-		for j, o := range readings {
-			if j == i || !o.Fresh {
-				continue
-			}
-			others = append(others, o.OffsetNS)
-		}
-		if len(others) == 0 {
-			flags[i] = true // nothing to compare against
-			continue
-		}
-		flags[i] = math.Abs(r.OffsetNS-median(others)) <= threshold
-	}
-	return flags
+	var a Aggregator
+	return a.validityFlags(readings, threshold)
 }
 
+// median sorts v in place (NaNs first) and returns its median.
 func median(v []float64) float64 {
-	s := make([]float64, len(v))
-	copy(s, v)
-	sort.Float64s(s)
-	n := len(s)
+	sortFloats(v)
+	n := len(v)
 	if n%2 == 1 {
-		return s[n/2]
+		return v[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // FlagPolicy selects how validity flags influence aggregation.
@@ -151,15 +164,31 @@ type AggregateInfo struct {
 // aggregated master offset, the flags (indexed like readings), and an error
 // if fewer than 2f+1 usable readings remain.
 func Aggregate(readings []Reading, f int, threshold float64, policy FlagPolicy) (float64, []bool, error) {
-	avg, flags, _, err := AggregateWithInfo(readings, f, threshold, policy)
+	var a Aggregator
+	avg, flags, _, err := a.Aggregate(readings, f, threshold, policy)
 	return avg, flags, err
 }
 
-// AggregateWithInfo is Aggregate plus an AggregateInfo describing the step.
-func AggregateWithInfo(readings []Reading, f int, threshold float64, policy FlagPolicy) (float64, []bool, AggregateInfo, error) {
-	flags := ValidityFlags(readings, threshold)
-	usable := make([]float64, 0, len(readings))
-	invalid := make([]bool, 0, len(readings)) // parallel to usable
+// Aggregator runs the aggregation step without allocating once warm: it
+// owns the scratch the step needs (the flags, the other fresh offsets each
+// flag compares against, the usable readings with their invalid marks, and
+// the trim order) and reuses it across calls. ValidityFlags and Aggregate
+// run this same code over a fresh Aggregator. The zero
+// value is ready to use; an Aggregator is not safe for concurrent use.
+type Aggregator struct {
+	flags   []bool
+	others  []float64 // the other fresh offsets, for one flag's median
+	usable  []float64
+	invalid []bool // parallel to usable
+	idx     []int
+}
+
+// Aggregate is the package-level Aggregate plus an AggregateInfo describing
+// the step, run over the aggregator's scratch. The returned flags alias that
+// scratch: they are valid until the next call.
+func (a *Aggregator) Aggregate(readings []Reading, f int, threshold float64, policy FlagPolicy) (float64, []bool, AggregateInfo, error) {
+	flags := a.validityFlags(readings, threshold)
+	usable, invalid := a.usable[:0], a.invalid[:0]
 	for i, r := range readings {
 		if !r.Fresh {
 			continue
@@ -184,6 +213,7 @@ func AggregateWithInfo(readings []Reading, f int, threshold float64, policy Flag
 			}
 		}
 	}
+	a.usable, a.invalid = usable, invalid
 	// Degrade f when too few domains remain (e.g. a fail-silent GM during
 	// reboot): with n fresh readings the largest maskable fault count is
 	// floor((n-1)/2).
@@ -194,28 +224,69 @@ func AggregateWithInfo(readings []Reading, f int, threshold float64, policy Flag
 	if eff < 0 {
 		eff = 0
 	}
-	info := AggregateInfo{Used: len(usable) - 2*eff, Discarded: 2 * eff, Starved: starved,
-		MaliciousDiscarded: maliciousDiscarded(usable, invalid, eff)}
-	avg, err := Average(usable, eff)
-	if err != nil {
+	if err := quorum(len(usable), eff); err != nil {
 		return 0, flags, AggregateInfo{Starved: starved}, err
 	}
-	return avg, flags, info, nil
+	info := AggregateInfo{Used: len(usable) - 2*eff, Discarded: 2 * eff, Starved: starved,
+		MaliciousDiscarded: a.maliciousDiscarded(eff)}
+	sortFloats(usable) // after maliciousDiscarded, which needs input order
+	return trimmedMean(usable, eff), flags, info, nil
+}
+
+// validityFlags is ValidityFlags into the aggregator's scratch.
+func (a *Aggregator) validityFlags(readings []Reading, threshold float64) []bool {
+	n := len(readings)
+	if cap(a.flags) < n {
+		a.flags = make([]bool, n)
+	}
+	flags := a.flags[:n]
+	clear(flags)
+	for i, r := range readings {
+		if !r.Fresh {
+			continue
+		}
+		others := a.others[:0]
+		for j, o := range readings {
+			if j == i || !o.Fresh {
+				continue
+			}
+			others = append(others, o.OffsetNS)
+		}
+		a.others = others
+		if len(others) == 0 {
+			flags[i] = true // nothing to compare against
+			continue
+		}
+		flags[i] = math.Abs(r.OffsetNS-median(others)) <= threshold
+	}
+	return flags
 }
 
 // maliciousDiscarded counts the eff smallest and eff largest of the usable
-// readings that were also flagged invalid. Ties at the trim boundary are
-// broken by input order, matching the stable sort; any tie-break is sound
-// for counting since tied readings are interchangeable in the trim.
-func maliciousDiscarded(usable []float64, invalid []bool, eff int) int {
+// readings that were also flagged invalid. Which of several equal readings
+// is trimmed decides the count, so the trim order must be the one
+// sort.SliceStable gives by `<` over input order: up to 20 readings (its
+// insertion-sort block) this runs that same insertion sort on indices, and
+// larger inputs go to sort.SliceStable itself.
+func (a *Aggregator) maliciousDiscarded(eff int) int {
+	usable, invalid := a.usable, a.invalid
 	if eff <= 0 || len(usable) < 2*eff {
 		return 0
 	}
-	idx := make([]int, len(usable))
-	for i := range idx {
-		idx[i] = i
+	idx := a.idx[:0]
+	for i := range usable {
+		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return usable[idx[a]] < usable[idx[b]] })
+	a.idx = idx
+	if len(idx) <= 20 {
+		for i := 1; i < len(idx); i++ {
+			for j := i; j > 0 && usable[idx[j]] < usable[idx[j-1]]; j-- {
+				idx[j], idx[j-1] = idx[j-1], idx[j]
+			}
+		}
+	} else {
+		sort.SliceStable(idx, func(x, y int) bool { return usable[idx[x]] < usable[idx[y]] })
+	}
 	n := 0
 	for k := 0; k < eff; k++ {
 		if invalid[idx[k]] {

@@ -548,3 +548,62 @@ func TestOneStepMaliciousMaster(t *testing.T) {
 		t.Fatalf("one-step attack not reflected: honest %v, attacked %v", honest, last)
 	}
 }
+
+// TestMasterFollowUpReadsOffsetAtSend pins when a two-step master reads its
+// falsification offset: when the FollowUp is sent, not when its Sync
+// leaves. An attacker that replaces the benign ptp4l between a Sync's
+// transmission and its FollowUp therefore already falsifies that FollowUp.
+func TestMasterFollowUpReadsOffsetAtSend(t *testing.T) {
+	const (
+		interval   = 125 * time.Millisecond
+		maliciousN = -24000.0
+		switchSeq  = 3
+	)
+	h := newHarness(7)
+	gm := h.nic("gm", 0, 0)
+	cl := h.nic("cl", 0, 0)
+	h.connect(t, gm.Port(), cl.Port(), 500*time.Nanosecond, 0)
+	m := NewMaster(gm, h.sched, nil, MasterConfig{Domain: 0, SyncInterval: interval}, nil)
+
+	followUps := make(map[uint16]*FollowUp)
+	var switchedAt sim.Time
+	cl.SetHandler(func(f *netsim.Frame, _ float64) {
+		switch p := f.Payload.(type) {
+		case *Sync:
+			// The Sync has left the master (it is being received), and its
+			// FollowUp is still FollowUpDelay away.
+			if p.Seq == switchSeq {
+				m.SetMaliciousOffset(maliciousN)
+				switchedAt = h.sched.Now()
+			}
+		case *FollowUp:
+			followUps[p.Seq] = p
+		}
+	})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.sched.RunUntil(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if switchedAt == 0 {
+		t.Fatalf("Sync %d never arrived", switchSeq)
+	}
+	// Launch times sit on interval boundaries of the master's PHC, so the
+	// origin's distance to the nearest boundary is the falsification (plus
+	// timestamp jitter of a few ns).
+	falsification := func(seq uint16) float64 {
+		fu, ok := followUps[seq]
+		if !ok {
+			t.Fatalf("no FollowUp for Sync %d", seq)
+		}
+		iv := float64(interval)
+		return fu.PreciseOrigin - math.Round(fu.PreciseOrigin/iv)*iv
+	}
+	if got := falsification(switchSeq - 1); math.Abs(got) > 100 {
+		t.Fatalf("FollowUp %d before the switch carries offset %.0f ns, want ~0", switchSeq-1, got)
+	}
+	if got := falsification(switchSeq); math.Abs(got-maliciousN) > 100 {
+		t.Fatalf("FollowUp %d, sent after the switch, carries offset %.0f ns, want ~%.0f", switchSeq, got, maliciousN)
+	}
+}

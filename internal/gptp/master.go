@@ -73,6 +73,7 @@ func (c MasterConfig) withDefaults() MasterConfig {
 // at the same global boundaries within the synchronization precision.
 type Master struct {
 	nic   *netsim.NIC
+	addr  netsim.Address // source address of the master's frames
 	sched *sim.Scheduler
 	rng   sim.RNG
 	cfg   MasterConfig
@@ -91,7 +92,8 @@ type Master struct {
 // NewMaster creates a grandmaster port on nic. onFault, if non-nil,
 // receives transient-fault notifications.
 func NewMaster(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg MasterConfig, onFault func(kind string)) *Master {
-	m := &Master{nic: nic, sched: sched, rng: rng, cfg: cfg.withDefaults(), onFault: onFault, lastSlot: -1}
+	m := &Master{nic: nic, addr: netsim.Address("nic/" + nic.DeviceName()), sched: sched, rng: rng,
+		cfg: cfg.withDefaults(), onFault: onFault, lastSlot: -1}
 	m.txFn = m.onSyncTx
 	return m
 }
@@ -152,7 +154,7 @@ func (m *Master) tick() {
 		sync.RateRatio = 1
 		sync.GMIdentity = m.cfg.GMIdentity
 	}
-	syncFrame := newFrame(netsim.Address("nic/"+m.nic.DeviceName()), sync)
+	syncFrame := newFrame(m.addr, sync)
 
 	if m.rng != nil && m.cfg.DeadlineMissProb > 0 && m.rng.Float64() < m.cfg.DeadlineMissProb {
 		// Model a late hand-off: the launch time passed to the qdisc is
@@ -206,7 +208,7 @@ func (m *Master) completeFollowUp(seq uint16, txTS float64) {
 			RateRatio:     1,
 			GMIdentity:    m.cfg.GMIdentity,
 		}
-		if _, err := m.nic.Send(newFrame(netsim.Address("nic/"+m.nic.DeviceName()), fu)); err == nil {
+		if _, err := m.nic.Send(newFrame(m.addr, fu)); err == nil {
 			m.followUpsSent++
 		}
 	})

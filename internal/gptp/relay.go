@@ -34,6 +34,8 @@ type Relay struct {
 	bridge *netsim.Bridge
 	sched  *sim.Scheduler
 	cfg    RelayConfig
+	// addr is the source address of the FollowUps the relay regenerates.
+	addr netsim.Address
 
 	linkDelays []*LinkDelay
 	domains    map[int]*relayDomain
@@ -50,6 +52,9 @@ type relayDomain struct {
 	// free recycles completed relaySync records; one Sync per interval per
 	// domain makes this a single-element list in steady state.
 	free []*relaySync
+	// txFns caches one prebound egress-timestamp callback per bridge port
+	// (see Relay.egressFn), built the first time a Sync leaves that port.
+	txFns []func(payload any, txTS float64)
 }
 
 type relaySync struct {
@@ -109,6 +114,7 @@ func NewRelay(bridge *netsim.Bridge, sched *sim.Scheduler, rng sim.RNG, cfg Rela
 		bridge:  bridge,
 		sched:   sched,
 		cfg:     cfg,
+		addr:    netsim.Address("nic/" + bridge.DeviceName()),
 		domains: make(map[int]*relayDomain, len(cfg.Domains)),
 	}
 	for d, ports := range cfg.Domains {
@@ -236,28 +242,41 @@ func (r *Relay) handleSync(ingress int, f *netsim.Frame, m *Sync, rxTS float64) 
 		}
 	}
 	for _, egress := range d.cfg.MasterPorts {
-		egress := egress
 		out := f.Clone()
 		residence := r.bridge.ResidenceFor(f)
-		seq := m.Seq
-		// The callback looks the record up by sequence number at fire time
-		// instead of capturing *relaySync: records are freelist-recycled,
-		// and the lookup keeps the closure snapshot-safe (it captures only
-		// the relay, the domain — both restored in place — and scalars).
-		// Residence times are microseconds while ageing takes seqDelta > 4
-		// intervals, so a pending egress callback never misses its record.
-		r.bridge.TransmitAt(egress, residence, out, func(_ any, txTS float64) {
-			st, ok := d.pending[seq]
-			if !ok {
-				return
-			}
-			st.txTS[egress] = txTS
-			st.haveTx[egress] = true
-			if st.fu != nil {
-				r.forwardFollowUp(d, seq, st, egress)
-			}
-		})
+		r.bridge.TransmitAt(egress, residence, out, r.egressFn(d, egress))
 	}
+}
+
+// egressFn returns the domain's egress-timestamp callback for one master
+// port, building it on first use. The callback reads the sequence number
+// from the two-step Sync payload every egress copy shares, and looks the
+// record up by it at fire time instead of capturing *relaySync: records are
+// freelist-recycled, and the lookup keeps the callback snapshot-safe (it
+// captures only the relay and the domain, both restored in place, and the
+// port). Residence times are microseconds while ageing takes seqDelta > 4
+// intervals, so a pending egress callback never misses its record.
+func (r *Relay) egressFn(d *relayDomain, egress int) func(payload any, txTS float64) {
+	if d.txFns == nil {
+		d.txFns = make([]func(any, float64), r.bridge.NumPorts())
+	}
+	if fn := d.txFns[egress]; fn != nil {
+		return fn
+	}
+	fn := func(payload any, txTS float64) {
+		seq := payload.(*Sync).Seq
+		st, ok := d.pending[seq]
+		if !ok {
+			return
+		}
+		st.txTS[egress] = txTS
+		st.haveTx[egress] = true
+		if st.fu != nil {
+			r.forwardFollowUp(d, seq, st, egress)
+		}
+	}
+	d.txFns[egress] = fn
+	return fn
 }
 
 // relayOneStep forwards a one-step Sync: each egress copy gets its own
@@ -328,7 +347,7 @@ func (r *Relay) forwardFollowUp(d *relayDomain, seq uint16, st *relaySync, egres
 		RateRatio:     cumRatio,
 		GMIdentity:    st.fu.GMIdentity,
 	}
-	frame := newFrame(netsim.Address("nic/"+r.bridge.DeviceName()), out)
+	frame := newFrame(r.addr, out)
 	r.bridge.TransmitAfterResidence(egress, frame)
 
 	if st.doneCount == len(d.cfg.MasterPorts) {

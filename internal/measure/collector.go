@@ -62,6 +62,7 @@ type Collector struct {
 	sched *sim.Scheduler
 	nic   *netsim.NIC
 	name  string
+	addr  netsim.Address // "nic/"+name, the probes' source and origin
 
 	exclude map[string]bool
 	ticker  *sim.Ticker
@@ -93,6 +94,7 @@ func NewCollector(name string, sched *sim.Scheduler, nic *netsim.NIC, cfg Collec
 		sched:   sched,
 		nic:     nic,
 		name:    name,
+		addr:    netsim.Address("nic/" + name),
 		exclude: ex,
 		pathMin: make(map[string]time.Duration),
 		pathMax: make(map[string]time.Duration),
@@ -171,10 +173,10 @@ func (c *Collector) probe() {
 	seq := c.seq
 	c.openWindow(seq)
 	f := netsim.GetFrame()
-	f.Src = netsim.Address("nic/" + c.name)
+	f.Src = c.addr
 	f.Dst = MulticastAddr
 	f.Priority = netsim.PriorityMeasure
-	f.Payload = &Probe{Seq: seq, Origin: netsim.Address("nic/" + c.name)}
+	f.Payload = &Probe{Seq: seq, Origin: c.addr}
 	atSec := float64(c.sched.Now()) / 1e9
 	if _, err := c.nic.Send(f); err != nil {
 		c.closeWindow(c.window(seq))

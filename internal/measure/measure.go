@@ -43,6 +43,7 @@ type Reply struct {
 // installed as the ptp4l stack's auxiliary frame handler.
 type Agent struct {
 	name     string
+	addr     netsim.Address // source address of the agent's replies
 	sched    *sim.Scheduler
 	nic      *netsim.NIC
 	syncTime func() (float64, bool)
@@ -51,7 +52,7 @@ type Agent struct {
 
 // NewAgent creates an agent; syncTime reads the node's CLOCK_SYNCTIME.
 func NewAgent(name string, sched *sim.Scheduler, nic *netsim.NIC, syncTime func() (float64, bool)) *Agent {
-	return &Agent{name: name, sched: sched, nic: nic, syncTime: syncTime}
+	return &Agent{name: name, addr: netsim.Address("nic/" + name), sched: sched, nic: nic, syncTime: syncTime}
 }
 
 // Replies reports how many probes the agent answered.
@@ -72,7 +73,7 @@ func (a *Agent) Handle(f *netsim.Frame, _ float64) {
 		PathLatency: f.PathLatency(a.sched.Now()),
 	}
 	out := netsim.GetFrame()
-	out.Src = netsim.Address("nic/" + a.name)
+	out.Src = a.addr
 	out.Dst = probe.Origin
 	out.Priority = netsim.PriorityMeasure
 	out.Payload = reply

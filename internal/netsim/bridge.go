@@ -78,6 +78,11 @@ type Bridge struct {
 	// jobs (egress-timestamped transmissions carrying an onTx callback).
 	txFns  []func(any)
 	txAtFn func(any)
+	// txAtFree recycles TransmitAt jobs: fireTxAt returns each job here
+	// after copying its fields out. Reuse is fork-safe because snapshots
+	// never hold these records — the scheduler deep-copies queued jobs
+	// (CloneForSnapshot) when it snapshots and again when it restores.
+	txAtFree []*txAtJob
 
 	forwarded uint64
 	dropped   uint64
@@ -278,14 +283,31 @@ func (j *txAtJob) CloneForSnapshot() any {
 	return &c
 }
 
-// fireTxAt transmits a queued TransmitAt job. The payload is captured
-// before Transmit because a drop recycles (zeroes) the frame; payloads are
-// never pooled, so the reference stays valid for onTx.
+// newTxAtJob returns a TransmitAt job, recycled when one is free.
+func (b *Bridge) newTxAtJob(egress int, f *Frame, onTx func(payload any, txTS float64)) *txAtJob {
+	var j *txAtJob
+	if n := len(b.txAtFree); n > 0 {
+		j = b.txAtFree[n-1]
+		b.txAtFree = b.txAtFree[:n-1]
+	} else {
+		j = new(txAtJob)
+	}
+	*j = txAtJob{egress: egress, f: f, onTx: onTx}
+	return j
+}
+
+// fireTxAt transmits a queued TransmitAt job and recycles the job record.
+// The payload is captured before Transmit because a drop recycles (zeroes)
+// the frame; payloads are never pooled, so the reference stays valid for
+// onTx.
 func (b *Bridge) fireTxAt(j *txAtJob) {
-	payload := j.f.Payload
-	ts := b.Transmit(j.egress, j.f)
-	if j.onTx != nil {
-		j.onTx(payload, ts)
+	egress, f, onTx := j.egress, j.f, j.onTx
+	*j = txAtJob{}
+	b.txAtFree = append(b.txAtFree, j)
+	payload := f.Payload
+	ts := b.Transmit(egress, f)
+	if onTx != nil {
+		onTx(payload, ts)
 	}
 }
 
@@ -304,10 +326,10 @@ func (b *Bridge) TransmitAt(egress int, d time.Duration, f *Frame, onTx func(pay
 			f.release()
 			return
 		}
-		b.sched.AtArg(departAt, b.txAtFn, &txAtJob{egress: egress, f: f, onTx: onTx})
+		b.sched.AtArg(departAt, b.txAtFn, b.newTxAtJob(egress, f, onTx))
 		return
 	}
-	b.sched.AfterArg(d, b.txAtFn, &txAtJob{egress: egress, f: f, onTx: onTx})
+	b.sched.AfterArg(d, b.txAtFn, b.newTxAtJob(egress, f, onTx))
 }
 
 // bridgeSnapshot captures a bridge's mutable state for warm-start forks.

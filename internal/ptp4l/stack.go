@@ -188,6 +188,12 @@ type Stack struct {
 	syncObserver func(domain int, latency time.Duration)
 	aggregations uint64
 
+	// Aggregation scratch, reused every interval so the data path does not
+	// allocate. Neither is state: both are rebuilt from FTSHMEM on every
+	// use, so snapshots leave them out.
+	agg      fta.Aggregator
+	readings []fta.Reading
+
 	// Holdover state machine (active only when cfg.HoldoverWindow > 0).
 	holdover     bool
 	lastGoodAgg  sim.Time
@@ -469,9 +475,9 @@ func (s *Stack) onOffset(sample gptp.OffsetSample) {
 // foreign domain (so a node rebooting while the initial grandmaster is
 // fail-silent can still rejoin).
 func (s *Stack) startupReferenceDomain(nowPHC float64) (int, bool) {
-	readings := s.shm.Readings(nowPHC)
+	s.readings = s.shm.ReadingsInto(s.readings, nowPHC)
 	best := -1
-	for _, r := range readings {
+	for _, r := range s.readings {
 		if !r.Fresh || r.Domain == s.cfg.GMDomain {
 			continue
 		}
@@ -515,9 +521,9 @@ func (s *Stack) startupStep(sample gptp.OffsetSample, nowPHC float64) {
 // initialGMConvergence checks whether the M−1 other grandmasters have
 // synchronized to this reference within the start-up threshold.
 func (s *Stack) initialGMConvergence(nowPHC float64) {
-	readings := s.shm.Readings(nowPHC)
+	s.readings = s.shm.ReadingsInto(s.readings, nowPHC)
 	freshForeign := 0
-	for _, r := range readings {
+	for _, r := range s.readings {
 		if r.Domain == s.cfg.GMDomain || !r.Fresh {
 			continue
 		}
@@ -594,9 +600,9 @@ func (s *Stack) aggregate(nowPHC float64) {
 	if s.master != nil && s.master.Running() {
 		s.shm.StoreOwnDomain(s.cfg.GMDomain, nowPHC)
 	}
-	readings := s.shm.Readings(nowPHC)
-	cs, flags, info, err := fta.AggregateWithInfo(readings, s.cfg.F, s.cfg.ValidityThresholdNS, s.cfg.FlagPolicy)
-	s.updateFlags(readings, flags)
+	s.readings = s.shm.ReadingsInto(s.readings, nowPHC)
+	cs, flags, info, err := s.agg.Aggregate(s.readings, s.cfg.F, s.cfg.ValidityThresholdNS, s.cfg.FlagPolicy)
+	s.updateFlags(s.readings, flags)
 	if info.Starved {
 		s.obsStarved.Inc()
 	}

@@ -87,10 +87,16 @@ func (s *FTSHMEM) StoreOwnDomain(domain int, nowPHC float64) {
 
 // Readings snapshots the M readings with freshness evaluated at nowPHC.
 func (s *FTSHMEM) Readings(nowPHC float64) []fta.Reading {
+	return s.ReadingsInto(nil, nowPHC)
+}
+
+// ReadingsInto is Readings into dst's storage: it overwrites dst[:0] with
+// the M readings and returns the result, allocating only when dst is too
+// small.
+func (s *FTSHMEM) ReadingsInto(dst []fta.Reading, nowPHC float64) []fta.Reading {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]fta.Reading, len(s.offsets))
-	copy(out, s.offsets)
+	out := append(dst[:0], s.offsets...)
 	for i := range out {
 		if out[i].Fresh && nowPHC-out[i].At > s.staleNS {
 			out[i].Fresh = false

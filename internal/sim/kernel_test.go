@@ -262,22 +262,32 @@ func TestTickerTickIsAllocFree(t *testing.T) {
 // --- randomized differential test against a container/heap reference ---
 
 // refEvent / refQueue reimplement the original container/heap-based
-// scheduler semantics as the oracle.
+// scheduler semantics as the oracle, over the full firing key
+// (at, schedAt, cause, seq).
 type refEvent struct {
-	at    Time
-	seq   uint64
-	index int
-	fn    func()
+	at      Time
+	schedAt Time
+	cause   Time
+	seq     uint64
+	index   int
+	fn      func()
 }
 
 type refQueue []*refEvent
 
 func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+	a, b := q[i], q[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	if a.schedAt != b.schedAt {
+		return a.schedAt < b.schedAt
+	}
+	if a.cause != b.cause {
+		return a.cause < b.cause
+	}
+	return a.seq < b.seq
 }
 func (q refQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
@@ -304,11 +314,17 @@ type refScheduler struct {
 	queue refQueue
 }
 
+// at schedules from outside any callback, where the kernel stamps both
+// causal keys with the current instant.
 func (r *refScheduler) at(t Time, fn func()) *refEvent {
+	return r.keyed(t, r.now, r.now, fn)
+}
+
+func (r *refScheduler) keyed(t, schedAt, cause Time, fn func()) *refEvent {
 	if t < r.now {
 		t = r.now
 	}
-	e := &refEvent{at: t, seq: r.seq, fn: fn}
+	e := &refEvent{at: t, schedAt: schedAt, cause: cause, seq: r.seq, fn: fn}
 	r.seq++
 	heap.Push(&r.queue, e)
 	return e
@@ -332,7 +348,10 @@ func (r *refScheduler) run() {
 }
 
 // runDifferential drives both schedulers through the same randomized
-// schedule/cancel script and compares complete firing traces.
+// schedule/cancel script and compares complete firing traces. A share of
+// the events go through ScheduleKeyedArg on a coarse grid of instants and
+// causal keys, so many of them tie on `at` with each other and with plain
+// At events and are ordered by the slab's (schedAt, cause, seq) tie-break.
 func runDifferential(t *testing.T, seed int64, ops int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -355,6 +374,15 @@ func runDifferential(t *testing.T, seed int64, ops int) {
 			k := rng.Intn(len(newIDs))
 			s.Cancel(newIDs[k])
 			r.cancel(refEvs[k])
+		case rng.Intn(3) == 0: // keyed event tying on a coarse grid
+			at := Time(rng.Intn(10)) * 100
+			schedAt := Time(rng.Intn(4)) * 100
+			cause := schedAt - Time(rng.Intn(3))*50
+			id := next
+			next++
+			rf := func(any) { gotNew = append(gotNew, rec{id: id, at: s.Now()}) }
+			newIDs = append(newIDs, s.ScheduleKeyedArg(at, schedAt, cause, rf, nil))
+			refEvs = append(refEvs, r.keyed(at, schedAt, cause, func() { gotRef = append(gotRef, rec{id: id, at: r.now}) }))
 		default:
 			at := Time(rng.Intn(1000))
 			id := next

@@ -9,7 +9,7 @@
 // bit-for-bit reproducible.
 //
 // The kernel is allocation-free in steady state: events live inline in a
-// growable slab indexed by a hand-rolled 4-ary min-heap (see heap.go), At
+// growable slab ordered by a hand-rolled 4-ary min-heap (see heap.go), At
 // and After hand out compact EventID handles instead of per-event pointers,
 // Cancel is an O(1) generation bump with lazy deletion at pop, and fired
 // slots recycle through a free list. See DESIGN.md, "Event kernel".
@@ -75,10 +75,12 @@ type eventSlot struct {
 	arg any
 	// period > 0 marks a ticker slot: after firing it is pushed back with
 	// at += period, reusing the slot, the callback and the EventID.
-	period    time.Duration
-	gen       uint32
-	heapIdx   int32 // position in Scheduler.heap; -1 when not queued
-	nextFree  int32
+	period   time.Duration
+	gen      uint32
+	nextFree int32
+	// queued is set while the slot has an entry in Scheduler.heap
+	// (including a cancelled entry awaiting lazy removal).
+	queued    bool
 	cancelled bool
 }
 
@@ -91,9 +93,9 @@ type Scheduler struct {
 	now      Time
 	seq      uint64
 	slab     []eventSlot
-	heap     []int32 // slot indices; 4-ary min-heap on (at, seq)
-	freeHead int32   // head of the free-slot list; -1 when empty
-	live     int     // queued events that are not cancelled
+	heap     []heapEntry // 4-ary min-heap on (at, schedAt, cause, seq)
+	freeHead int32       // head of the free-slot list; -1 when empty
+	live     int         // queued events that are not cancelled
 	stopped  bool
 
 	// firing/firingSchedAt track the schedule-time key of the event whose
@@ -175,17 +177,17 @@ func (s *Scheduler) alloc() int32 {
 		s.freeHead = s.slab[i].nextFree
 		return i
 	}
-	s.slab = append(s.slab, eventSlot{gen: 1, heapIdx: -1, nextFree: -1})
+	s.slab = append(s.slab, eventSlot{gen: 1, nextFree: -1})
 	return int32(len(s.slab) - 1)
 }
 
-// free recycles a slot whose generation has already been bumped.
+// free recycles a slot whose generation has already been bumped and whose
+// heap entry has already been popped.
 func (s *Scheduler) free(i int32) {
 	sl := &s.slab[i]
 	sl.fn, sl.afn, sl.arg = nil, nil, nil
 	sl.period = 0
 	sl.cancelled = false
-	sl.heapIdx = -1
 	sl.nextFree = s.freeHead
 	s.freeHead = i
 }
@@ -267,11 +269,11 @@ func (s *Scheduler) ScheduleKeyedArg(t, schedAt, cause Time, fn func(any), arg a
 // NextEventAt reports the instant of the earliest live queued event. The
 // second result is false when the queue is empty.
 func (s *Scheduler) NextEventAt() (Time, bool) {
-	i, ok := s.peekLive()
+	e, ok := s.peekLive()
 	if !ok {
 		return 0, false
 	}
-	return s.slab[i].at, true
+	return e.at, true
 }
 
 // SkipTo advances the clock to t without firing anything. It is a
@@ -349,7 +351,7 @@ func (s *Scheduler) Cancel(id EventID) {
 	s.cancels++
 	sl.bumpGen()
 	sl.fn, sl.afn, sl.arg = nil, nil, nil
-	if sl.heapIdx >= 0 {
+	if sl.queued {
 		// Still queued: drop from the live count; the heap entry is
 		// reaped at pop. A ticker cancelled from inside its own callback
 		// is not queued at this point and was already uncounted.
@@ -364,24 +366,24 @@ func (s *Scheduler) When(id EventID) (Time, bool) {
 		return 0, false
 	}
 	sl := &s.slab[i]
-	if sl.gen != id.gen || sl.heapIdx < 0 {
+	if sl.gen != id.gen || !sl.queued {
 		return 0, false
 	}
 	return sl.at, true
 }
 
-// peekLive reaps cancelled entries off the heap top and reports the slot of
-// the earliest live event, if any.
-func (s *Scheduler) peekLive() (int32, bool) {
+// peekLive reaps cancelled entries off the heap top and reports the heap
+// entry of the earliest live event, if any.
+func (s *Scheduler) peekLive() (heapEntry, bool) {
 	for len(s.heap) > 0 {
-		i := s.heap[0]
-		if !s.slab[i].cancelled {
-			return i, true
+		e := s.heap[0]
+		if !s.slab[e.slot].cancelled {
+			return e, true
 		}
 		s.heapPopTop()
-		s.free(i)
+		s.free(e.slot)
 	}
-	return -1, false
+	return heapEntry{}, false
 }
 
 // fire pops slot i (already verified live) and runs its callback.
@@ -438,11 +440,11 @@ func (s *Scheduler) fire(i int32) {
 
 // Step fires the next pending event and reports whether one was available.
 func (s *Scheduler) Step() bool {
-	i, ok := s.peekLive()
+	e, ok := s.peekLive()
 	if !ok {
 		return false
 	}
-	s.fire(i)
+	s.fire(e.slot)
 	return true
 }
 
@@ -452,11 +454,11 @@ func (s *Scheduler) Step() bool {
 // RunUntil calls continue seamlessly.
 func (s *Scheduler) RunUntil(t Time) error {
 	for !s.stopped {
-		i, ok := s.peekLive()
-		if !ok || s.slab[i].at > t {
+		e, ok := s.peekLive()
+		if !ok || e.at > t {
 			break
 		}
-		s.fire(i)
+		s.fire(e.slot)
 	}
 	if s.stopped {
 		s.stopped = false

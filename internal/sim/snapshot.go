@@ -33,7 +33,7 @@ type SchedulerSnapshot struct {
 	seq                            uint64
 	deferOrd                       uint64
 	slab                           []eventSlot
-	heap                           []int32
+	heap                           []heapEntry
 	freeHead                       int32
 	live                           int
 	processed, pastClamps, cancels uint64
@@ -50,7 +50,7 @@ func (s *Scheduler) Snapshot() any {
 		seq:        s.seq,
 		deferOrd:   s.deferOrd,
 		slab:       append([]eventSlot(nil), s.slab...),
-		heap:       append([]int32(nil), s.heap...),
+		heap:       append([]heapEntry(nil), s.heap...),
 		freeHead:   s.freeHead,
 		live:       s.live,
 		processed:  s.processed,

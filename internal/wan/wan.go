@@ -8,7 +8,7 @@
 // control scheduler: every Interval each site takes pairwise offset
 // readings against every reachable peer site — corrupted by the WAN path's
 // two-way-exchange asymmetry error and measurement noise — and runs the
-// same trimmed FTA over them (fta.AggregateWithInfo) that the LAN tier
+// same trimmed FTA over them (fta.Aggregator) that the LAN tier
 // runs over domain offsets. The result disciplines a per-site virtual
 // correction through a PI servo (servo.PI), so all sites converge onto a
 // common wide-area timescale without any site acting as a master.
@@ -189,6 +189,10 @@ type Coordinator struct {
 	lastTickNS float64
 	samples    []SiteSample
 
+	// Per-tick aggregation scratch (not state; snapshots leave it out).
+	agg      fta.Aggregator
+	readings []fta.Reading
+
 	sched  *sim.Scheduler
 	ticker *sim.Ticker
 
@@ -325,7 +329,7 @@ func (c *Coordinator) tick() {
 		quorum := fresh >= c.nSites-c.tolerable
 		sample.Quorum[i] = quorum
 
-		agg, _, _, err := fta.AggregateWithInfo(readings, c.cfg.F, c.cfg.ValidityThresholdNS, fta.FlagMonitor)
+		agg, _, _, err := c.agg.Aggregate(readings, c.cfg.F, c.cfg.ValidityThresholdNS, fta.FlagMonitor)
 		c.step(i, now, agg, err == nil, quorum)
 		sample.Holdover[i] = c.servos[i].Frozen()
 	}
@@ -341,9 +345,10 @@ func (c *Coordinator) tick() {
 // siteReadings builds observer i's site-offset vector: its own clock as
 // reference (offset 0) plus one reading per reachable peer, corrupted by
 // the path asymmetry error and measurement noise; unreachable peers fall
-// back to their cached reading inside the staleness window.
+// back to their cached reading inside the staleness window. The result
+// reuses the previous call's storage.
 func (c *Coordinator) siteReadings(i int, now float64, adj []float64, alive []bool) []fta.Reading {
-	readings := make([]fta.Reading, 0, c.nSites)
+	readings := c.readings[:0]
 	readings = append(readings, fta.Reading{Domain: i, OffsetNS: 0, At: now, Fresh: true})
 	for j := 0; j < c.nSites; j++ {
 		if j == i {
@@ -359,6 +364,7 @@ func (c *Coordinator) siteReadings(i int, now float64, adj []float64, alive []bo
 		fresh := lr.valid && now-lr.atNS <= float64(c.cfg.StaleAfter)
 		readings = append(readings, fta.Reading{Domain: j, OffsetNS: lr.offsetNS, At: lr.atNS, Fresh: fresh})
 	}
+	c.readings = readings
 	return readings
 }
 
