@@ -102,7 +102,7 @@ profile:
 verify: build fmt-check vet test
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/netsim/... \
 		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/... \
-		./internal/gptp/... ./internal/fta/... ./internal/shmem/...
+		./internal/gptp/... ./internal/fta/... ./internal/shmem/... ./internal/wan/...
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the
 # committed example scenario plan, with the holdover watchdog armed. Fails

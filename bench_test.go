@@ -649,7 +649,7 @@ func BenchmarkPDESFabric(b *testing.B) {
 // WAN tier itself costs.
 func BenchmarkWANFabric(b *testing.B) {
 	const simPerOp = time.Second
-	for _, p := range []struct{ sites, shards int }{{4, 1}, {16, 1}, {16, 4}} {
+	for _, p := range []struct{ sites, shards int }{{4, 1}, {16, 1}, {16, 4}, {84, 2}} {
 		b.Run(fmt.Sprintf("sites=%d/shards=%d", p.sites, p.shards), func(b *testing.B) {
 			cfg := core.ScaleConfig(1, p.sites, 4, 2, p.shards)
 			cfg.WanSync.Enabled = true

@@ -87,7 +87,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -41,10 +41,14 @@ type System struct {
 	// ("sw1-sw5"), bridges "sw1".."swN".
 	linkByName   map[string]*netsim.Link
 	bridgeByName map[string]*netsim.Bridge
-	relays       []*gptp.Relay
-	nodes        []*hypervisor.Node
-	vms          map[string]*hypervisor.CSVM
-	agents       map[string]*measure.Agent
+	// wanChain holds the gateway-chain links by segment: wanChain[i] joins
+	// site i and i+1, direction 0 running from i to i+1. The WAN tier's
+	// per-pair path walks index it directly; linkByName keeps the names.
+	wanChain []*netsim.Link
+	relays   []*gptp.Relay
+	nodes    []*hypervisor.Node
+	vms      map[string]*hypervisor.CSVM
+	agents   map[string]*measure.Agent
 
 	// wanCoord/wanDrift are the wide-area tier (nil unless
 	// cfg.WanSync.Enabled on a multi-site fabric); both tick on the
@@ -392,7 +396,7 @@ func (s *System) buildBridges() error {
 	// Gateway chain: node 0 of consecutive sites, at metro latency.
 	for site := 1; site < s.cfg.NumSites(); site++ {
 		ga, gb := (site-1)*s.cfg.Nodes, site*s.cfg.Nodes
-		linkName := fmt.Sprintf("sw%d-sw%d", ga+1, gb+1)
+		linkName := s.WanLinkName(site - 1)
 		cfg := s.linkConfig(linkName)
 		cfg.Propagation = s.interSitePropagation()
 		link, err := netsim.ConnectBoundary(s.shardSched(ga), s.shardSched(gb),
@@ -403,6 +407,7 @@ func (s *System) buildBridges() error {
 		}
 		s.links = append(s.links, link)
 		s.linkByName[linkName] = link
+		s.wanChain = append(s.wanChain, link)
 	}
 	return nil
 }

@@ -67,11 +67,10 @@ func (s *System) DescribeTopology() string {
 
 	if nSites > 1 {
 		fmt.Fprintf(&b, "\nWAN gateway chain (propagation %v per span):\n", s.cfg.InterSitePropagation)
-		for i := 0; i < nSites-1; i++ {
-			name := s.WanLinkName(i)
-			extra, asym := s.linkByName[name].WanDelay()
+		for i, l := range s.wanChain {
+			extra, asym := l.WanDelay()
 			fmt.Fprintf(&b, "  %s (site %d <-> site %d): extra delay %v, asymmetry %v\n",
-				name, i, i+1, extra, asym)
+				s.WanLinkName(i), i, i+1, extra, asym)
 		}
 		w := s.cfg.WanSync
 		if w.Enabled {

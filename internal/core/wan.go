@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
-	"gptpfta/internal/netsim"
 	"gptpfta/internal/wan"
 )
 
@@ -32,12 +30,6 @@ func (s *System) SiteTime(site int) (float64, bool) {
 	return s.nodes[g].SyncTimeNow()
 }
 
-// wanChainLink returns the gateway-chain link joining site i and i+1; its
-// direction 0 runs from the lower-indexed site to the higher.
-func (s *System) wanChainLink(i int) *netsim.Link {
-	return s.linkByName[s.WanLinkName(i)]
-}
-
 // PathUp implements wan.Fabric: the chain path between two sites is intact
 // iff no chain segment on it is severed and no intermediate gateway has
 // failed (endpoint liveness is SiteTime's concern).
@@ -46,8 +38,8 @@ func (s *System) PathUp(i, j int) bool {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	for k := lo; k < hi; k++ {
-		if s.wanChainLink(k).Down() {
+	for _, l := range s.wanChain[lo:hi] {
+		if l.Down() {
 			return false
 		}
 	}
@@ -70,8 +62,7 @@ func (s *System) PathAsymNS(i, j int) float64 {
 		lo, hi = hi, lo
 	}
 	var toHi, toLo time.Duration
-	for k := lo; k < hi; k++ {
-		l := s.wanChainLink(k)
+	for _, l := range s.wanChain[lo:hi] {
 		toHi += l.DirectionalDelay(0)
 		toLo += l.DirectionalDelay(1)
 	}
@@ -96,7 +87,7 @@ func (s *System) SiteBridgeNames(site int) []string {
 // WanLinkName implements chaos.SiteTopology: the chain link joining site i
 // and i+1, named after its gateway switches.
 func (s *System) WanLinkName(i int) string {
-	return fmt.Sprintf("sw%d-sw%d", i*s.cfg.Nodes+1, (i+1)*s.cfg.Nodes+1)
+	return "sw" + itoa(i*s.cfg.Nodes+1) + "-sw" + itoa((i+1)*s.cfg.Nodes+1)
 }
 
 // Wan exposes the site-level coordinator (nil when the tier is disabled).
@@ -110,9 +101,8 @@ func (s *System) buildWan() {
 	s.wanCoord = wan.NewCoordinator(s.cfg.WanSync, s, s.streams, s.obs)
 	if s.cfg.WanSync.Drift.Enabled {
 		var links []wan.NamedLink
-		for i := 0; i < s.cfg.NumSites()-1; i++ {
-			name := s.WanLinkName(i)
-			links = append(links, wan.NamedLink{Name: name, Link: s.linkByName[name]})
+		for i, l := range s.wanChain {
+			links = append(links, wan.NamedLink{Name: s.WanLinkName(i), Link: l})
 		}
 		s.wanDrift = wan.NewDrift(s.cfg.WanSync.Drift, links, s.streams)
 	}

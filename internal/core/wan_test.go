@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -141,5 +144,83 @@ func TestShardEquivalenceWan(t *testing.T) {
 		if want.fp.frames != got.fp.frames {
 			t.Errorf("shards=%d: frame counters diverge: %d vs %d", shards, want.fp.frames, got.fp.frames)
 		}
+	}
+}
+
+// goldenWanSamplesLargeDigest pins the coordinator's full sample series on
+// a 24-site fabric. At site-level M = 24 the FTA runs its sort.Float64s
+// (> 12) and stable-sort (> 20) paths, which the 4-site wansites golden
+// digest never reaches.
+const goldenWanSamplesLargeDigest = "8b3574203e59c77b62e104206741d07c112a04326b3369da896550326f1a7e72"
+
+// TestGoldenDigestWanSamplesLarge digests Wan().Samples() on a 24-site
+// fabric with delay drift on, driven through a severed chain segment, a
+// failed intermediate gateway and the heal of both.
+func TestGoldenDigestWanSamplesLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24-site fabric run")
+	}
+	cfg := wanTestConfig(11, 24, 1)
+	cfg.WanSync.F = 1
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	run := func(d time.Duration) {
+		t.Helper()
+		if err := sys.RunFor(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(6 * time.Second)
+	cut := sys.Link(sys.WanLinkName(5))
+	cut.SetDown(true)
+	run(3 * time.Second)
+	gw := sys.Bridge(sys.SiteBridgeNames(12)[0])
+	gw.Fail()
+	run(5 * time.Second)
+	cut.SetDown(false)
+	gw.Restore()
+	run(8 * time.Second)
+
+	samples := sys.Wan().Samples()
+	var lostQuorum, heldOver bool
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, s := range samples {
+		put(s.AtSec)
+		for i, adj := range s.AdjNS {
+			put(adj)
+			flags := byte(0)
+			for k, b := range []bool{s.Alive[i], s.Quorum[i], s.Holdover[i]} {
+				if b {
+					flags |= 1 << k
+				}
+			}
+			h.Write([]byte{flags})
+			lostQuorum = lostQuorum || (s.Alive[i] && !s.Quorum[i])
+			heldOver = heldOver || s.Holdover[i]
+		}
+	}
+	if !lostQuorum || !heldOver {
+		t.Fatalf("scenario never degraded a site (quorum lost %v, holdover %v)", lostQuorum, heldOver)
+	}
+	last := samples[len(samples)-1]
+	for i := range last.Quorum {
+		if !last.Alive[i] || !last.Quorum[i] {
+			t.Fatalf("site %d not back in quorum after the heal", i)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenWanSamplesLargeDigest {
+		t.Fatalf("WAN samples digest changed over %d ticks: got %s want %s",
+			len(samples), got, goldenWanSamplesLargeDigest)
 	}
 }

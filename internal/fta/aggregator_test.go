@@ -153,7 +153,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 func TestAggregatorMatchesSortReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var agg Aggregator // reused across every case, as a ptp4l stack does
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 21, 30}
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 21, 24, 30, 84}
 	thresholds := []float64{0, 60, 150, 10000}
 	// Coverage of the paths the comparison is meant to exercise.
 	var starved, malicious, withNaN, failed int
@@ -223,18 +223,31 @@ func TestAggregatorMatchesSortReference(t *testing.T) {
 }
 
 // TestAggregatorZeroAllocs is the FTA half of the data-path allocation
-// gate: at the paper's M = 4 a warm Aggregator must not allocate.
+// gate: a warm Aggregator must not allocate, at the paper's M = 4 and at
+// the fabric site tier's M = 84, f = 1, past the insertion-sort sizes of
+// both the float sort (12) and the stable trim sort (20).
 func TestAggregatorZeroAllocs(t *testing.T) {
-	readings := []Reading{fresh(0, 120), fresh(1, -80), fresh(2, 40), fresh(3, -24000)}
-	var agg Aggregator
-	for _, policy := range []FlagPolicy{FlagMonitor, FlagExclude} {
-		agg.Aggregate(readings, 1, 10000, policy) // warm the scratch
-		if allocs := testing.AllocsPerRun(100, func() {
-			if _, _, _, err := agg.Aggregate(readings, 1, 10000, policy); err != nil {
-				t.Fatal(err)
+	r := rand.New(rand.NewSource(3))
+	wide := make([]Reading, 84)
+	for i := range wide {
+		wide[i] = fresh(i, r.NormFloat64()*2000)
+	}
+	wide[7].OffsetNS = -24000
+	for _, readings := range [][]Reading{
+		{fresh(0, 120), fresh(1, -80), fresh(2, 40), fresh(3, -24000)},
+		wide,
+	} {
+		var agg Aggregator
+		for _, policy := range []FlagPolicy{FlagMonitor, FlagExclude} {
+			agg.Aggregate(readings, 1, 10000, policy) // warm the scratch
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, _, _, err := agg.Aggregate(readings, 1, 10000, policy); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("M=%d policy %d: Aggregate allocates %.1f per call, want 0",
+					len(readings), policy, allocs)
 			}
-		}); allocs != 0 {
-			t.Fatalf("policy %d: Aggregate allocates %.1f per call, want 0", policy, allocs)
 		}
 	}
 }

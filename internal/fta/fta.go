@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -119,14 +120,39 @@ func ValidityFlags(readings []Reading, threshold float64) []bool {
 	return a.validityFlags(readings, threshold)
 }
 
-// median sorts v in place (NaNs first) and returns its median.
-func median(v []float64) float64 {
-	sortFloats(v)
-	n := len(v)
+// medianWithout returns the median of sorted (ascending, NaNs first) with
+// the element at index k left out. For an even remainder it sums the two
+// middle values lower first, as a median over the sorted remainder would.
+func medianWithout(sorted []float64, k int) float64 {
+	n := len(sorted) - 1
 	if n%2 == 1 {
-		return v[n/2]
+		return skipAt(sorted, k, n/2)
 	}
-	return (v[n/2-1] + v[n/2]) / 2
+	return (skipAt(sorted, k, n/2-1) + skipAt(sorted, k, n/2)) / 2
+}
+
+// lowerBound returns the first index of sorted (ascending under floatLess)
+// whose element is not less than x. It is slices.BinarySearch's result,
+// without the generic call that costs ~30 ns per aggregation at M = 4.
+func lowerBound(sorted []float64, x float64) int {
+	lo, hi := 0, len(sorted)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if floatLess(sorted[m], x) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// skipAt is element j of sorted with index k removed.
+func skipAt(sorted []float64, k, j int) float64 {
+	if j >= k {
+		j++
+	}
+	return sorted[j]
 }
 
 // FlagPolicy selects how validity flags influence aggregation.
@@ -170,14 +196,15 @@ func Aggregate(readings []Reading, f int, threshold float64, policy FlagPolicy) 
 }
 
 // Aggregator runs the aggregation step without allocating once warm: it
-// owns the scratch the step needs (the flags, the other fresh offsets each
-// flag compares against, the usable readings with their invalid marks, and
-// the trim order) and reuses it across calls. ValidityFlags and Aggregate
-// run this same code over a fresh Aggregator. The zero
-// value is ready to use; an Aggregator is not safe for concurrent use.
+// owns the scratch the step needs (the flags, the sorted fresh offsets the
+// flags' leave-one-out medians read, the usable readings with their
+// invalid marks, and the trim order) and reuses it across calls.
+// ValidityFlags and Aggregate run this same code over a fresh Aggregator.
+// The zero value is ready to use; an Aggregator is not safe for concurrent
+// use.
 type Aggregator struct {
 	flags   []bool
-	others  []float64 // the other fresh offsets, for one flag's median
+	others  []float64 // the fresh offsets, sorted, for every flag's median
 	usable  []float64
 	invalid []bool // parallel to usable
 	idx     []int
@@ -241,33 +268,40 @@ func (a *Aggregator) validityFlags(readings []Reading, threshold float64) []bool
 	}
 	flags := a.flags[:n]
 	clear(flags)
+	sorted := a.others[:0]
+	for _, r := range readings {
+		if r.Fresh {
+			sorted = append(sorted, r.OffsetNS)
+		}
+	}
+	a.others = sorted
+	sortFloats(sorted)
 	for i, r := range readings {
 		if !r.Fresh {
 			continue
 		}
-		others := a.others[:0]
-		for j, o := range readings {
-			if j == i || !o.Fresh {
-				continue
-			}
-			others = append(others, o.OffsetNS)
-		}
-		a.others = others
-		if len(others) == 0 {
+		if len(sorted) == 1 {
 			flags[i] = true // nothing to compare against
 			continue
 		}
-		flags[i] = math.Abs(r.OffsetNS-median(others)) <= threshold
+		// The other fresh offsets are sorted minus one element equal to
+		// r.OffsetNS under floatLess. Which equal element goes does not
+		// change the flag: equal elements differ only in the sign of zero
+		// or the NaN payload, |x − med| is the same for a +0 or −0 median,
+		// and a NaN reading's flag is false whatever the median.
+		med := medianWithout(sorted, lowerBound(sorted, r.OffsetNS))
+		flags[i] = math.Abs(r.OffsetNS-med) <= threshold
 	}
 	return flags
 }
 
 // maliciousDiscarded counts the eff smallest and eff largest of the usable
 // readings that were also flagged invalid. Which of several equal readings
-// is trimmed decides the count, so the trim order must be the one
-// sort.SliceStable gives by `<` over input order: up to 20 readings (its
-// insertion-sort block) this runs that same insertion sort on indices, and
-// larger inputs go to sort.SliceStable itself.
+// is trimmed decides the count, so the trim order is a stable sort by `<`
+// over input order. slices.SortStableFunc runs the algorithm
+// sort.SliceStable runs (insertion-sorted blocks of 20, then symMerge) and
+// only asks whether the comparison is negative, so the comparator is
+// negative exactly when `<` holds; cmp.Compare would order NaN differently.
 func (a *Aggregator) maliciousDiscarded(eff int) int {
 	usable, invalid := a.usable, a.invalid
 	if eff <= 0 || len(usable) < 2*eff {
@@ -278,15 +312,15 @@ func (a *Aggregator) maliciousDiscarded(eff int) int {
 		idx = append(idx, i)
 	}
 	a.idx = idx
-	if len(idx) <= 20 {
-		for i := 1; i < len(idx); i++ {
-			for j := i; j > 0 && usable[idx[j]] < usable[idx[j-1]]; j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
+	slices.SortStableFunc(idx, func(x, y int) int {
+		switch {
+		case usable[x] < usable[y]:
+			return -1
+		case usable[x] > usable[y]:
+			return 1
 		}
-	} else {
-		sort.SliceStable(idx, func(x, y int) bool { return usable[idx[x]] < usable[idx[y]] })
-	}
+		return 0
+	})
 	n := 0
 	for k := 0; k < eff; k++ {
 		if invalid[idx[k]] {

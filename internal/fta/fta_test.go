@@ -321,10 +321,10 @@ func TestAggregateAllStale(t *testing.T) {
 }
 
 func TestMedian(t *testing.T) {
-	if m := median([]float64{3, 1, 2}); m != 2 {
+	if m := medianWithout([]float64{1, 2, 2, 3}, 1); m != 2 {
 		t.Fatalf("median odd = %v, want 2", m)
 	}
-	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+	if m := medianWithout([]float64{1, 2, 2.5, 3, 4}, 2); m != 2.5 {
 		t.Fatalf("median even = %v, want 2.5", m)
 	}
 }

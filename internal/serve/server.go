@@ -373,15 +373,24 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": list})
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A job request is a registry
+// name plus a config overlay, a few KiB at most.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit accepts a job: 202 with the job status on success, 404 with
 // the registry's did-you-mean error for unknown experiments, 400 for a bad
-// config, 503 when the queue is full.
+// config, 413 for a body over maxSubmitBytes, 503 when the queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	j, status, err := s.submit(req)

@@ -333,6 +333,34 @@ func TestServerBadConfig(t *testing.T) {
 	}
 }
 
+// TestServerOversizedBody: a submission over the body limit answers 413
+// and creates no job.
+func TestServerOversizedBody(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	body := `{"experiment": "bounds", "config": {"pad": "` +
+		strings.Repeat("x", maxSubmitBytes) + `"}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	list, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer list.Body.Close()
+	var got struct{ Jobs []JobStatus }
+	if err := json.NewDecoder(list.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Jobs) != 0 {
+		t.Fatalf("oversized submission created %d jobs", len(got.Jobs))
+	}
+}
+
 // TestServerQueueFull: with no workers draining, the bounded queue rejects
 // overflow with 503.
 func TestServerQueueFull(t *testing.T) {

@@ -177,21 +177,21 @@ type Coordinator struct {
 	rngs   []sim.RNG
 	servos []*servo.PI
 
-	corrNS  []float64 // per-site virtual correction applied on top of SiteTime
-	freqPPB []float64 // per-site applied frequency adjustment
-	last    [][]lastReading
-	// tickNoise is the current tick's pre-drawn noise matrix
-	// [observer][peer]; drawing it up-front for every slot keeps the
-	// streams position-stable under failures.
-	tickNoise  [][]float64
+	corrNS     []float64 // per-site virtual correction applied on top of SiteTime
+	freqPPB    []float64 // per-site applied frequency adjustment
+	last       [][]lastReading
 	noQuorumAt []float64 // control instant quorum was lost, or NaN
 	stable     []int     // consecutive in-threshold ticks while frozen
 	lastTickNS float64
 	samples    []SiteSample
 
-	// Per-tick aggregation scratch (not state; snapshots leave it out).
-	agg      fta.Aggregator
-	readings []fta.Reading
+	// Per-tick scratch (not state; snapshots leave it out). tickNoise is
+	// the current tick's pre-drawn noise matrix, flat n×n with
+	// [observer*n+peer]; drawing it up-front for every slot keeps the
+	// streams position-stable under failures.
+	tickNoise []float64
+	agg       fta.Aggregator
+	readings  []fta.Reading
 
 	sched  *sim.Scheduler
 	ticker *sim.Ticker
@@ -220,6 +220,7 @@ func NewCoordinator(cfg Config, fab Fabric, streams *sim.Streams, reg *obs.Regis
 		last:       make([][]lastReading, n),
 		noQuorumAt: make([]float64, n),
 		stable:     make([]int, n),
+		tickNoise:  make([]float64, n*n),
 	}
 	for i := 0; i < n; i++ {
 		c.rngs = append(c.rngs, streams.Stream(fmt.Sprintf("wansync/site%d", i)))
@@ -292,17 +293,15 @@ func (c *Coordinator) tick() {
 
 	// Noise draws are position-stable: one normal per observer per peer
 	// slot every tick, used or not, so failures never shift the streams.
-	noise := make([][]float64, c.nSites)
 	for i := 0; i < c.nSites; i++ {
-		noise[i] = make([]float64, c.nSites)
-		for j := 0; j < c.nSites; j++ {
+		row := c.tickNoise[i*c.nSites : (i+1)*c.nSites]
+		for j := range row {
 			if j == i {
 				continue
 			}
-			noise[i][j] = c.rngs[i].NormFloat64() * c.cfg.NoiseNS
+			row[j] = c.rngs[i].NormFloat64() * c.cfg.NoiseNS
 		}
 	}
-	c.tickNoise = noise
 
 	sample := SiteSample{
 		AtSec:    now / 1e9,
@@ -355,7 +354,7 @@ func (c *Coordinator) siteReadings(i int, now float64, adj []float64, alive []bo
 			continue
 		}
 		if alive[j] && c.fab.PathUp(i, j) {
-			off := adj[i] - adj[j] + c.fab.PathAsymNS(i, j) + c.noiseAt(i, j)
+			off := adj[i] - adj[j] + c.fab.PathAsymNS(i, j) + c.tickNoise[i*c.nSites+j]
 			c.last[i][j] = lastReading{offsetNS: off, atNS: now, valid: true}
 			readings = append(readings, fta.Reading{Domain: j, OffsetNS: off, At: now, Fresh: true})
 			continue
@@ -366,14 +365,6 @@ func (c *Coordinator) siteReadings(i int, now float64, adj []float64, alive []bo
 	}
 	c.readings = readings
 	return readings
-}
-
-// noiseAt replays the tick's pre-drawn noise value for (observer, peer).
-func (c *Coordinator) noiseAt(i, j int) float64 {
-	if c.tickNoise == nil {
-		return 0
-	}
-	return c.tickNoise[i][j]
 }
 
 // step runs site i's servo ladder for one tick.

@@ -2,6 +2,7 @@ package wan
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -246,6 +247,21 @@ func TestCoordinatorSnapshotRoundTrip(t *testing.T) {
 		if c.corrNS[i] != wantCorr[i] {
 			t.Fatalf("restored corrNS[%d] = %v, want %v", i, c.corrNS[i], wantCorr[i])
 		}
+	}
+}
+
+// TestTickAllocs pins the tick's per-call allocations at N = 84 (the
+// fabric's site count): once warm, a tick allocates only the four slices
+// of the SiteSample it retains. The noise matrix, readings and FTA scratch
+// are reused.
+func TestTickAllocs(t *testing.T) {
+	c, _, sched := runCoordinator(t, testConfig(), 84, 1)
+	if err := sched.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.samples = slices.Grow(c.samples, 200) // keep append growth out of the count
+	if allocs := testing.AllocsPerRun(100, c.tick); allocs != 4 {
+		t.Fatalf("warm tick allocates %.0f per call, want 4 (the SiteSample slices)", allocs)
 	}
 }
 
